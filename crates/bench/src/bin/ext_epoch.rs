@@ -18,15 +18,19 @@
 //!
 //! Per row: mean publish wall time, copied node slots / rebuilt BPTs /
 //! copied store segments per publish (diagnosed by `Arc` pointer equality
-//! against the previous pin), an estimate of freshly allocated bytes, and
-//! the update log's retained record count (bounded by pruning).
+//! against the previous pin), the time the BPT rebuild stage of a publish
+//! takes (`bpt_build_us`: the rebuilt nodes' BPTs built again, after the
+//! publish, the way the writer builds them), an estimate of freshly
+//! allocated bytes, and the update log's retained record count (bounded
+//! by pruning).
 //!
 //! `--json OUT` writes the rows as `BENCH_epoch.json` for the CI artifact
 //! trail.
 
 use pc_bench::{fmt_bytes, json, HarnessOpts, Table};
 use pc_rtree::proto::PAGE_BYTES;
-use pc_server::{Server, ServerConfig};
+use pc_rtree::{NodeId, SplitScratch};
+use pc_server::{Server, ServerConfig, Snapshot};
 use pc_sim::generate_update;
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
@@ -43,6 +47,7 @@ struct Row {
     batch: usize,
     nodes: usize,
     publish_us: f64,
+    bpt_build_us: f64,
     copied_nodes: f64,
     copied_node_chunks: f64,
     rebuilt_bpts: f64,
@@ -60,6 +65,8 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     );
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xE60C);
     let mut publish_s = 0.0;
+    let mut bpt_build_s = 0.0;
+    let mut scratch = SplitScratch::default();
     let mut copied_nodes = 0usize;
     let mut copied_node_chunks = 0usize;
     let mut rebuilt_bpts = 0usize;
@@ -83,6 +90,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         copied_node_chunks += node_chunks;
         let rebuilt = new.bpts().node_count() - new.bpts().shared_bpts(old.bpts());
         rebuilt_bpts += rebuilt;
+        bpt_build_s += bpt_stage_s(&old, &new, &mut scratch);
         let bpt_chunks = new.bpts().chunk_count() - new.bpts().shared_chunks(old.bpts());
         copied_bpt_chunks += bpt_chunks;
         let chunks = new.store().chunk_count() - new.store().shared_chunks(old.store());
@@ -106,6 +114,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         batch,
         nodes: snap.tree().slab_len(),
         publish_us: publish_s * 1e6 / rounds,
+        bpt_build_us: bpt_build_s * 1e6 / rounds,
         copied_nodes: copied_nodes as f64 / rounds,
         copied_node_chunks: copied_node_chunks as f64 / rounds,
         rebuilt_bpts: rebuilt_bpts as f64 / rounds,
@@ -116,10 +125,41 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     }
 }
 
+/// Seconds the BPT stage of the publish `old -> new` takes: every node
+/// whose BPT the publish replaced gets it rebuilt again, on a copy of the
+/// new store, through the same `rebuild_node` call and warm scratch the
+/// writer uses.
+fn bpt_stage_s(old: &Snapshot, new: &Snapshot, scratch: &mut SplitScratch) -> f64 {
+    let (old_bpts, new_bpts) = (old.bpts(), new.bpts());
+    let dirty: Vec<NodeId> = (0..new_bpts.node_count() as u32)
+        .map(NodeId)
+        .filter(|&id| {
+            (id.0 as usize) >= old_bpts.node_count()
+                || !std::ptr::eq(old_bpts.get(id), new_bpts.get(id))
+        })
+        .collect();
+    let mut store = new_bpts.clone();
+    let t = Instant::now();
+    for &id in &dirty {
+        store.rebuild_node(new.tree(), id, scratch);
+    }
+    t.elapsed().as_secs_f64()
+}
+
 fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
     let mut t = Table::new(vec![
-        "objects", "batch", "nodes", "publish", "copied n", "n-chunk", "bpts", "b-chunk", "chunks",
-        "fresh", "log",
+        "objects",
+        "batch",
+        "nodes",
+        "publish",
+        "bpt build",
+        "copied n",
+        "n-chunk",
+        "bpts",
+        "b-chunk",
+        "chunks",
+        "fresh",
+        "log",
     ]);
     let mut json_rows = Vec::new();
     for r in rows {
@@ -128,6 +168,7 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
             r.batch.to_string(),
             r.nodes.to_string(),
             format!("{:.0}us", r.publish_us),
+            format!("{:.0}us", r.bpt_build_us),
             format!("{:.1}", r.copied_nodes),
             format!("{:.1}", r.copied_node_chunks),
             format!("{:.1}", r.rebuilt_bpts),
@@ -143,6 +184,7 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
                 .num("batch", r.batch)
                 .num("nodes", r.nodes)
                 .num("publish_us", r.publish_us)
+                .num("bpt_build_us", r.bpt_build_us)
                 .num("copied_nodes", r.copied_nodes)
                 .num("copied_node_chunks", r.copied_node_chunks)
                 .num("rebuilt_bpts", r.rebuilt_bpts)

@@ -43,11 +43,59 @@ impl CacheStats {
     }
 }
 
+/// Running per-kind item counts and bytes, kept in step with every insert,
+/// resize and removal so [`ProactiveCache::stats`] is O(1). Used bytes are
+/// the sum of the two byte counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Tally {
+    node_items: usize,
+    object_items: usize,
+    index_bytes: u64,
+    object_bytes: u64,
+}
+
+impl Tally {
+    fn add(&mut self, item: &Item) {
+        match item.data {
+            ItemData::Node(_) => {
+                self.node_items += 1;
+                self.index_bytes += item.meta.size;
+            }
+            ItemData::Object(_) => {
+                self.object_items += 1;
+                self.object_bytes += item.meta.size;
+            }
+        }
+    }
+
+    fn remove(&mut self, item: &Item) {
+        match item.data {
+            ItemData::Node(_) => {
+                self.node_items -= 1;
+                self.index_bytes -= item.meta.size;
+            }
+            ItemData::Object(_) => {
+                self.object_items -= 1;
+                self.object_bytes -= item.meta.size;
+            }
+        }
+    }
+
+    /// Counts every item from scratch (validation).
+    fn recount<'a>(items: impl Iterator<Item = &'a Item>) -> Tally {
+        let mut t = Tally::default();
+        for item in items {
+            t.add(item);
+        }
+        t
+    }
+}
+
 /// The proactive cache of §3.2/§5.
 #[derive(Clone, Debug)]
 pub struct ProactiveCache {
     capacity: u64,
-    used: u64,
+    tally: Tally,
     policy: ReplacementPolicy,
     items: HashMap<ItemKey, Item>,
     /// Leaf node currently known to hold each object's entry — lets reply
@@ -63,7 +111,7 @@ impl ProactiveCache {
     pub fn new(capacity: u64, policy: ReplacementPolicy) -> Self {
         ProactiveCache {
             capacity,
-            used: 0,
+            tally: Tally::default(),
             policy,
             items: HashMap::new(),
             object_parents: HashMap::new(),
@@ -114,7 +162,7 @@ impl ProactiveCache {
     }
 
     pub fn used_bytes(&self) -> u64 {
-        self.used
+        self.tally.index_bytes + self.tally.object_bytes
     }
 
     pub fn capacity(&self) -> u64 {
@@ -129,25 +177,16 @@ impl ProactiveCache {
         self.items.keys().copied()
     }
 
+    /// Aggregate statistics, read off running counters in O(1).
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats {
+        CacheStats {
             capacity: self.capacity,
-            used_bytes: self.used,
-            ..Default::default()
-        };
-        for item in self.items.values() {
-            match item.data {
-                ItemData::Node(_) => {
-                    s.node_items += 1;
-                    s.index_bytes += item.meta.size;
-                }
-                ItemData::Object(_) => {
-                    s.object_items += 1;
-                    s.object_bytes += item.meta.size;
-                }
-            }
+            used_bytes: self.used_bytes(),
+            node_items: self.tally.node_items,
+            object_items: self.tally.object_items,
+            index_bytes: self.tally.index_bytes,
+            object_bytes: self.tally.object_bytes,
         }
-        s
     }
 
     // ------------------------------------------------------------------
@@ -193,7 +232,7 @@ impl ProactiveCache {
             if let Some(p) = self.items.get_mut(&parent_key) {
                 p.children.push(key);
             }
-            self.items.insert(
+            self.put(
                 key,
                 Item {
                     meta: ItemMeta {
@@ -208,7 +247,6 @@ impl ProactiveCache {
                     children: Vec::new(),
                 },
             );
-            self.used += size;
             out.inserted_bytes += size;
         }
 
@@ -243,11 +281,7 @@ impl ProactiveCache {
                 }
                 // Refinement only adds cells, so the frontier (and size)
                 // never shrinks; stay correct even if that ever changes.
-                if new >= old {
-                    self.used += new - old;
-                } else {
-                    self.used -= old - new;
-                }
+                self.tally.index_bytes = self.tally.index_bytes - old + new;
                 new.saturating_sub(old)
             }
             None => {
@@ -269,7 +303,7 @@ impl ProactiveCache {
                     }
                     None => None,
                 };
-                self.items.insert(
+                self.put(
                     key,
                     Item {
                         meta: ItemMeta {
@@ -284,7 +318,6 @@ impl ProactiveCache {
                         children: Vec::new(),
                     },
                 );
-                self.used += size;
                 size
             }
         };
@@ -307,7 +340,7 @@ impl ProactiveCache {
 
     /// Evicts until `used ≤ capacity`; returns `(items, bytes)` evicted.
     pub fn enforce_capacity(&mut self, now: u64, pos: Point) -> (usize, u64) {
-        if self.used <= self.capacity {
+        if self.used_bytes() <= self.capacity {
             return (0, 0);
         }
         match self.policy {
@@ -321,7 +354,7 @@ impl ProactiveCache {
     fn evict_scan(&mut self, now: u64, pos: Point) -> (usize, u64) {
         let mut count = 0;
         let mut bytes = 0;
-        while self.used > self.capacity && !self.items.is_empty() {
+        while self.used_bytes() > self.capacity && !self.items.is_empty() {
             let victim = self
                 .items
                 .iter()
@@ -386,7 +419,7 @@ impl ProactiveCache {
         let mut last_removed_item: Option<Item> = None;
 
         // Steps (3)-(5).
-        while self.used > self.capacity {
+        while self.used_bytes() > self.capacity {
             let Some(Victim(prob, key)) = heap.pop() else {
                 break;
             };
@@ -432,14 +465,13 @@ impl ProactiveCache {
                 let mut b = b_item;
                 b.meta.parent = None;
                 b.children.clear();
-                self.used += b.meta.size;
                 if let (ItemData::Node(v), ItemKey::Node(nid)) = (&b.data, b_key) {
                     for o in v.object_entries() {
                         self.object_parents.insert(o, nid);
                     }
                 }
                 bytes = bytes.saturating_sub(b.meta.size);
-                self.items.insert(b_key, b);
+                self.put(b_key, b);
                 count = count.saturating_sub(1);
             }
         }
@@ -460,7 +492,7 @@ impl ProactiveCache {
         let mut count = 0;
         let mut bytes = 0;
         bytes += self.discard_oversize(&mut count);
-        while self.used > self.capacity && !self.items.is_empty() {
+        while self.used_bytes() > self.capacity && !self.items.is_empty() {
             let mut memo: HashMap<ItemKey, (f64, u64)> = HashMap::new(); // (benefit, SIZE)
             let keys: Vec<ItemKey> = self.items.keys().copied().collect();
             for k in &keys {
@@ -603,12 +635,19 @@ impl ProactiveCache {
     /// is suspect. Returns `(items, bytes)` dropped.
     pub fn clear(&mut self) -> (usize, u64) {
         let count = self.items.len();
-        let bytes = self.used;
+        let bytes = self.used_bytes();
         self.items.clear();
         self.object_parents.clear();
-        self.used = 0;
+        self.tally = Tally::default();
         self.last_bswap = false;
         (count, bytes)
+    }
+
+    /// Stores a new item and counts it.
+    fn put(&mut self, key: ItemKey, item: Item) {
+        self.tally.add(&item);
+        let replaced = self.items.insert(key, item);
+        debug_assert!(replaced.is_none(), "put over cached {key}");
     }
 
     /// Removes a single (leaf) item; unlinks it from its parent and cleans
@@ -621,7 +660,7 @@ impl ProactiveCache {
             item.children.is_empty(),
             "remove_item on non-leaf {key}; use remove_subtree"
         );
-        self.used -= item.meta.size;
+        self.tally.remove(&item);
         if let Some(pk) = item.meta.parent {
             if let Some(p) = self.items.get_mut(&pk) {
                 p.children.retain(|&c| c != key);
@@ -697,11 +736,19 @@ impl ProactiveCache {
                 _ => return Err(format!("{key}: key/data kind mismatch")),
             }
         }
-        if sum != self.used {
-            return Err(format!("used {} != sum of sizes {sum}", self.used));
+        if sum != self.used_bytes() {
+            return Err(format!("used {} != sum of sizes {sum}", self.used_bytes()));
         }
-        if self.used > self.capacity {
-            return Err(format!("over capacity: {} > {}", self.used, self.capacity));
+        let recount = Tally::recount(self.items.values());
+        if recount != self.tally {
+            return Err(format!("counters {:?} != recount {recount:?}", self.tally));
+        }
+        if self.used_bytes() > self.capacity {
+            return Err(format!(
+                "over capacity: {} > {}",
+                self.used_bytes(),
+                self.capacity
+            ));
         }
         for (o, n) in &self.object_parents {
             match self.node_view(*n) {

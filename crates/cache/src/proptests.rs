@@ -2,8 +2,8 @@
 //! exactly what the EBRS-greedy GRD2 evicts, on randomized item
 //! hierarchies, while every structural invariant holds for every policy.
 
-use crate::cache::ProactiveCache;
-use crate::item::ItemKey;
+use crate::cache::{CacheStats, ProactiveCache};
+use crate::item::{ItemData, ItemKey};
 use crate::policy::ReplacementPolicy;
 use pc_geom::{Point, Rect};
 use pc_rtree::bpt::Code;
@@ -99,6 +99,7 @@ fn loaded_cache(
 ) -> ProactiveCache {
     let mut c = ProactiveCache::new(u64::MAX / 2, policy);
     c.absorb(reply, 1, Point::ORIGIN);
+    assert_eq!(c.stats(), recount(&c));
     for &(oid, t) in touches {
         // Touch the ancestor chain too: real traversals access every index
         // node on the way to an object, which is exactly the monotonicity
@@ -110,6 +111,30 @@ fn loaded_cache(
         }
     }
     c
+}
+
+/// [`ProactiveCache::stats`] recomputed by walking every cached item —
+/// the oracle for the O(1) running counters.
+fn recount(c: &ProactiveCache) -> CacheStats {
+    let mut s = CacheStats {
+        capacity: c.capacity(),
+        used_bytes: c.used_bytes(),
+        ..Default::default()
+    };
+    for key in c.keys() {
+        let item = c.get(key).expect("listed key is cached");
+        match item.data {
+            ItemData::Node(_) => {
+                s.node_items += 1;
+                s.index_bytes += item.meta.size;
+            }
+            ItemData::Object(_) => {
+                s.object_items += 1;
+                s.object_bytes += item.meta.size;
+            }
+        }
+    }
+    s
 }
 
 fn surviving_keys(c: &ProactiveCache) -> Vec<ItemKey> {
@@ -141,6 +166,8 @@ proptest! {
         g3.enforce_capacity(now, Point::ORIGIN);
         g2.validate().unwrap();
         g3.validate().unwrap();
+        prop_assert_eq!(g2.stats(), recount(&g2));
+        prop_assert_eq!(g3.stats(), recount(&g3));
         // The B-swap (Definition 5.1 step 6) is the one step GRD2 lacks;
         // outcomes are only claimed equal for the greedy phase.
         prop_assume!(!g3.took_bswap());
@@ -163,6 +190,7 @@ proptest! {
                 let cap = (c.used_bytes() as f64 * f) as u64;
                 c.set_capacity(cap);
                 c.enforce_capacity(50 + i as u64, Point::new(0.3, 0.3));
+                prop_assert_eq!(c.stats(), recount(&c));
                 prop_assert!(c.used_bytes() <= cap.max(1) || c.is_empty());
                 c.validate().map_err(|e| {
                     TestCaseError::fail(format!("{policy}: {e}"))
@@ -180,9 +208,11 @@ proptest! {
         let reply = synth_reply(objs_per_leaf.len(), &objs_per_leaf, &sizes);
         let mut c = ProactiveCache::new(u64::MAX / 2, ReplacementPolicy::Grd3);
         c.absorb(&reply, 1, Point::ORIGIN);
+        prop_assert_eq!(c.stats(), recount(&c));
         let used = c.used_bytes();
         let items = c.len();
         c.absorb(&reply, 2, Point::ORIGIN);
+        prop_assert_eq!(c.stats(), recount(&c));
         prop_assert_eq!(c.used_bytes(), used);
         prop_assert_eq!(c.len(), items);
         c.validate().unwrap();

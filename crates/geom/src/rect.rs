@@ -67,6 +67,15 @@ impl Rect {
         self.width() * self.height()
     }
 
+    /// Whether all four coordinates are finite (no NaN, no infinity).
+    #[inline]
+    pub fn is_finite(&self) -> bool {
+        self.min.x.is_finite()
+            && self.min.y.is_finite()
+            && self.max.x.is_finite()
+            && self.max.y.is_finite()
+    }
+
     /// Half-perimeter, the "margin" used by the R*-tree split heuristic.
     #[inline]
     pub fn margin(&self) -> Coord {

@@ -8,9 +8,9 @@
 //! these cells; the query engine treats a super entry exactly like an
 //! R-tree entry whose MBR is the union of the entries it covers.
 
-use crate::split::rstar_split;
+use crate::split::{midpoint_split, rstar_split, KernelBufs, SplitScratch};
 use crate::tree::RTree;
-use crate::NodeId;
+use crate::{Node, NodeId};
 use pc_geom::Rect;
 use std::sync::Arc;
 
@@ -163,65 +163,81 @@ impl Bpt {
     /// Builds the BPT over a node's entry MBRs ("the partitioning uses the
     /// R-tree node splitting algorithm to assure minimal overlap", §4.2).
     pub fn build(entry_mbrs: &[Rect]) -> Bpt {
-        Bpt::build_with(entry_mbrs, SplitPolicy::RStar)
+        Bpt::build_with(entry_mbrs, SplitPolicy::RStar, &mut SplitScratch::default())
     }
 
-    /// Builds with an explicit split policy (ablation support).
-    pub fn build_with(entry_mbrs: &[Rect], policy: SplitPolicy) -> Bpt {
+    /// Builds with an explicit split policy, partitioning in `scratch`:
+    /// once its buffers have grown, the cell arena is the build's only
+    /// allocation.
+    pub fn build_with(entry_mbrs: &[Rect], policy: SplitPolicy, scratch: &mut SplitScratch) -> Bpt {
+        let n = entry_mbrs.len();
         let mut bpt = Bpt {
-            cells: Vec::with_capacity(entry_mbrs.len().saturating_mul(2)),
+            cells: Vec::with_capacity(n.saturating_mul(2)),
             height: 0,
         };
-        if entry_mbrs.is_empty() {
+        if n == 0 {
             return bpt;
         }
-        let indices: Vec<u16> = (0..entry_mbrs.len() as u16).collect();
+        assert!(n <= u16::MAX as usize, "BPT over {n} entries");
+        let SplitScratch { idx, kernel, .. } = scratch;
+        idx.clear();
+        idx.extend(0..n as u16);
         bpt.cells.push(BptCell {
             // Placeholder, fixed by build_rec.
             mbr: entry_mbrs[0],
             kind: BptCellKind::Leaf { entry_idx: 0 },
         });
-        bpt.build_rec(0, &indices, entry_mbrs, 0, policy);
+        bpt.build_rec(0, idx, entry_mbrs, 0, policy, kernel);
         bpt
     }
 
+    /// Builds the BPT of `node`, gathering its entry MBRs into `scratch`.
+    fn build_node(node: &Node, policy: SplitPolicy, scratch: &mut SplitScratch) -> Bpt {
+        let mut mbrs = std::mem::take(&mut scratch.mbrs);
+        mbrs.clear();
+        mbrs.extend((0..node.len()).map(|j| node.mbr_at(j)));
+        let bpt = Bpt::build_with(&mbrs, policy, scratch);
+        scratch.mbrs = mbrs;
+        bpt
+    }
+
+    /// Fills `cells[cell_idx]` with the subtree over `idx`, partitioning
+    /// `idx` in place. Cells are emitted in preorder: both child slots are
+    /// pushed before recursing left, then right.
     fn build_rec(
         &mut self,
         cell_idx: usize,
-        indices: &[u16],
+        idx: &mut [u16],
         mbrs: &[Rect],
         depth: u8,
         policy: SplitPolicy,
+        kernel: &mut KernelBufs,
     ) {
         self.height = self.height.max(depth);
-        if indices.len() == 1 {
+        if let [entry_idx] = *idx {
             self.cells[cell_idx] = BptCell {
-                mbr: mbrs[indices[0] as usize],
-                kind: BptCellKind::Leaf {
-                    entry_idx: indices[0],
-                },
+                mbr: mbrs[entry_idx as usize],
+                kind: BptCellKind::Leaf { entry_idx },
             };
             return;
         }
-        let subset: Vec<Rect> = indices.iter().map(|&i| mbrs[i as usize]).collect();
-        let (l, r) = match policy {
+        let k = match policy {
             SplitPolicy::RStar => {
                 // Keep both sides ≥ 35 % so codes stay shallow (see `Code`).
-                let m = ((subset.len() as f64 * 0.35).floor() as usize).max(1);
-                rstar_split(&subset, m)
+                let m = ((idx.len() as f64 * 0.35).floor() as usize).max(1);
+                rstar_split(idx, mbrs, m, kernel)
             }
-            SplitPolicy::Midpoint => midpoint_split(&subset),
+            SplitPolicy::Midpoint => midpoint_split(idx, mbrs, kernel),
         };
-        let left_ids: Vec<u16> = l.iter().map(|&i| indices[i]).collect();
-        let right_ids: Vec<u16> = r.iter().map(|&i| indices[i]).collect();
+        let (left, right) = idx.split_at_mut(k);
 
         let left_idx = self.cells.len();
         self.cells.push(self.cells[cell_idx]); // placeholder
         let right_idx = self.cells.len();
         self.cells.push(self.cells[cell_idx]); // placeholder
 
-        self.build_rec(left_idx, &left_ids, mbrs, depth + 1, policy);
-        self.build_rec(right_idx, &right_ids, mbrs, depth + 1, policy);
+        self.build_rec(left_idx, left, mbrs, depth + 1, policy, kernel);
+        self.build_rec(right_idx, right, mbrs, depth + 1, policy, kernel);
 
         let mbr = self.cells[left_idx].mbr.union(&self.cells[right_idx].mbr);
         self.cells[cell_idx] = BptCell {
@@ -231,6 +247,12 @@ impl Bpt {
                 right: right_idx as u32,
             },
         };
+    }
+
+    /// The cell arena in build order (cell 0 is the root). Arena indices
+    /// are what [`BptCellKind::Internal`] points at.
+    pub fn cells(&self) -> &[BptCell] {
+        &self.cells
     }
 
     /// Number of cells (`2N - 1` for an `N`-entry node).
@@ -330,29 +352,6 @@ impl Bpt {
     }
 }
 
-/// Median cut along the longer axis of the subset's bounding box — the
-/// ablation control for [`SplitPolicy::Midpoint`].
-fn midpoint_split(rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
-    let bbox = Rect::union_all(rects.iter().copied()).expect("non-empty subset");
-    let horizontal = bbox.width() >= bbox.height();
-    let mut order: Vec<usize> = (0..rects.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ka = if horizontal {
-            rects[a].center().x
-        } else {
-            rects[a].center().y
-        };
-        let kb = if horizontal {
-            rects[b].center().x
-        } else {
-            rects[b].center().y
-        };
-        ka.partial_cmp(&kb).unwrap()
-    });
-    let cut = rects.len() / 2;
-    (order[..cut].to_vec(), order[cut..].to_vec())
-}
-
 /// BPT slots per store segment (power of two so indexing is a shift+mask).
 const BPT_CHUNK_SHIFT: u32 = 10;
 /// Segment capacity derived from the shift.
@@ -383,10 +382,10 @@ impl BptStore {
     /// Builds with an explicit split policy (ablation support).
     pub fn build_with(tree: &RTree, policy: SplitPolicy) -> BptStore {
         let mut store = BptStore::default();
+        let mut scratch = SplitScratch::default();
         for i in 0..tree.slab_len() {
             let node = tree.node(NodeId(i as u32));
-            let mbrs: Vec<Rect> = (0..node.len()).map(|j| node.mbr_at(j)).collect();
-            store.push(Arc::new(Bpt::build_with(&mbrs, policy)));
+            store.push(Arc::new(Bpt::build_node(node, policy, &mut scratch)));
         }
         store
     }
@@ -408,18 +407,18 @@ impl BptStore {
 
     /// Rebuilds the BPT of one node (used when dynamic inserts change a
     /// node's entry set), growing the slab when the node is new. Copies
-    /// only the segment the slot lives in.
-    pub fn rebuild_node(&mut self, tree: &RTree, id: NodeId) {
+    /// only the segment the slot lives in; `scratch` is the writer's
+    /// reusable split buffers.
+    pub fn rebuild_node(&mut self, tree: &RTree, id: NodeId, scratch: &mut SplitScratch) {
         while self.len <= id.0 as usize {
             // Slots for nodes created by this batch; every new node is in
             // the dirty set, so each placeholder is rebuilt in turn.
             self.push(Arc::new(Bpt::default()));
         }
-        let node = tree.node(id);
-        let mbrs: Vec<Rect> = (0..node.len()).map(|j| node.mbr_at(j)).collect();
+        let bpt = Bpt::build_node(tree.node(id), SplitPolicy::RStar, scratch);
         let i = id.0 as usize;
         let chunk = Arc::make_mut(&mut self.chunks[i >> BPT_CHUNK_SHIFT]);
-        chunk[i & (BPT_CHUNK_LEN - 1)] = Arc::new(Bpt::build(&mbrs));
+        chunk[i & (BPT_CHUNK_LEN - 1)] = Arc::new(bpt);
     }
 
     /// Total auxiliary bytes across all nodes — the §6.4 "4.2 MB for NE"
@@ -634,7 +633,11 @@ mod tests {
     #[test]
     fn midpoint_policy_builds_valid_trees() {
         for n in [1usize, 2, 7, 40] {
-            let bpt = Bpt::build_with(&mbrs(n), SplitPolicy::Midpoint);
+            let bpt = Bpt::build_with(
+                &mbrs(n),
+                SplitPolicy::Midpoint,
+                &mut SplitScratch::default(),
+            );
             assert_eq!(bpt.cell_count(), 2 * n - 1, "n={n}");
             let leaves = bpt.leaf_cells();
             assert_eq!(leaves.len(), n);
@@ -671,7 +674,7 @@ mod tests {
             })
             .collect();
         let overlap = |policy| {
-            let bpt = Bpt::build_with(&ms, policy);
+            let bpt = Bpt::build_with(&ms, policy, &mut SplitScratch::default());
             let mut total = 0.0;
             let mut stack = vec![Code::ROOT];
             while let Some(code) = stack.pop() {

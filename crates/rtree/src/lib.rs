@@ -32,6 +32,7 @@ mod proptests;
 
 use pc_geom::Rect;
 
+pub use split::SplitScratch;
 pub use tree::{RTree, RTreeConfig, TreeStats, NODE_CHUNK_LEN};
 
 /// Identifier of a data object. Objects are numbered densely from zero so
@@ -57,9 +58,9 @@ impl std::fmt::Display for NodeId {
 
 /// A spatial data object: an MBR plus a payload *size*.
 ///
-/// Following DESIGN.md, payload bytes are accounted but never materialized —
-/// every algorithm in the paper operates on ids and MBRs only, while the
-/// channel model charges `size_bytes` per transmission.
+/// Payload bytes are accounted but never materialized: every algorithm in
+/// the paper operates on ids and MBRs only, while the channel model charges
+/// `size_bytes` per transmission.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpatialObject {
     pub id: ObjectId,

@@ -2,7 +2,7 @@
 //! construction and full R* dynamic insertion (ChooseSubtree with the
 //! overlap criterion, forced re-insert, R* split) for incremental use.
 
-use crate::split::rstar_split;
+use crate::split::{rstar_split, SplitScratch};
 use crate::{ChildRef, Entry, Node, NodeId, SpatialObject};
 use pc_geom::Rect;
 use std::sync::Arc;
@@ -356,17 +356,28 @@ impl RTree {
 
     /// Inserts one object (R* insertion with forced re-insert).
     pub fn insert(&mut self, obj: &SpatialObject) {
+        self.insert_with(obj, &mut SplitScratch::default());
+    }
+
+    /// [`insert`](Self::insert) with caller-owned node-split buffers.
+    pub fn insert_with(&mut self, obj: &SpatialObject, scratch: &mut SplitScratch) {
         let entry = Entry {
             mbr: obj.mbr,
             child: ChildRef::Object(obj.id),
         };
         // One forced re-insert per level per data insertion (R* rule).
         let mut reinserted = vec![false; self.height as usize + 1];
-        self.insert_at_level(entry, 0, &mut reinserted);
+        self.insert_at_level(entry, 0, &mut reinserted, scratch);
         self.object_count += 1;
     }
 
-    fn insert_at_level(&mut self, entry: Entry, level: u16, reinserted: &mut Vec<bool>) {
+    fn insert_at_level(
+        &mut self,
+        entry: Entry,
+        level: u16,
+        reinserted: &mut Vec<bool>,
+        scratch: &mut SplitScratch,
+    ) {
         let target = self.choose_subtree(&entry.mbr, level);
         if let ChildRef::Node(c) = entry.child {
             self.node_mut(c).parent = Some(target);
@@ -374,7 +385,7 @@ impl RTree {
         self.node_mut(target).push(entry);
         self.mark_dirty(target);
         self.adjust_upward(target);
-        self.handle_overflow(target, reinserted);
+        self.handle_overflow(target, reinserted, scratch);
     }
 
     /// Descends from the root to `target_level`, applying the R* criteria:
@@ -452,7 +463,12 @@ impl RTree {
         best.3
     }
 
-    fn handle_overflow(&mut self, mut id: NodeId, reinserted: &mut Vec<bool>) {
+    fn handle_overflow(
+        &mut self,
+        mut id: NodeId,
+        reinserted: &mut Vec<bool>,
+        scratch: &mut SplitScratch,
+    ) {
         loop {
             if self.node(id).len() <= self.cfg.max_entries {
                 return;
@@ -466,10 +482,10 @@ impl RTree {
             let is_root = id == self.root;
             if !is_root && !reinserted[level] {
                 reinserted[level] = true;
-                self.forced_reinsert(id, reinserted);
+                self.forced_reinsert(id, reinserted, scratch);
                 return; // re-insertion handled any cascading overflow
             }
-            let parent = self.split_node(id);
+            let parent = self.split_node(id, scratch);
             match parent {
                 Some(p) => id = p,
                 None => return, // split created a new root
@@ -479,7 +495,12 @@ impl RTree {
 
     /// Removes the `reinsert_count` entries farthest from the node's center
     /// and re-inserts them from the top (R* forced re-insert, far-first).
-    fn forced_reinsert(&mut self, id: NodeId, reinserted: &mut Vec<bool>) {
+    fn forced_reinsert(
+        &mut self,
+        id: NodeId,
+        reinserted: &mut Vec<bool>,
+        scratch: &mut SplitScratch,
+    ) {
         let center = self
             .node(id)
             .mbr()
@@ -503,20 +524,24 @@ impl RTree {
         self.mark_dirty(id);
         self.adjust_upward(id);
         for e in removed {
-            self.insert_at_level(e, level, reinserted);
+            self.insert_at_level(e, level, reinserted, scratch);
         }
     }
 
     /// Splits an overflowing node; returns its parent (for cascade checks)
     /// or `None` when a new root was created.
-    fn split_node(&mut self, id: NodeId) -> Option<NodeId> {
+    fn split_node(&mut self, id: NodeId, scratch: &mut SplitScratch) -> Option<NodeId> {
         let level = self.node(id).level;
         let entries = self.node_mut(id).take_entries();
-        let rects: Vec<Rect> = entries.iter().map(|e| e.mbr).collect();
-        let (left_idx, right_idx) = rstar_split(&rects, self.cfg.min_entries);
+        let SplitScratch { mbrs, idx, kernel } = scratch;
+        mbrs.clear();
+        mbrs.extend(entries.iter().map(|e| e.mbr));
+        idx.clear();
+        idx.extend(0..entries.len() as u16);
+        let k = rstar_split(idx, mbrs, self.cfg.min_entries, kernel);
 
-        let left_entries: Vec<Entry> = left_idx.iter().map(|&i| entries[i]).collect();
-        let right_entries: Vec<Entry> = right_idx.iter().map(|&i| entries[i]).collect();
+        let left_entries: Vec<Entry> = idx[..k].iter().map(|&i| entries[i as usize]).collect();
+        let right_entries: Vec<Entry> = idx[k..].iter().map(|&i| entries[i as usize]).collect();
 
         self.node_mut(id).set_entries(left_entries);
         let sibling_node = Node::with_entries(self.node(id).parent, level, right_entries);
@@ -584,6 +609,17 @@ impl RTree {
     /// the MBR the object was inserted with). Returns `false` when the
     /// object is not in the tree.
     pub fn delete(&mut self, id: crate::ObjectId, mbr: &Rect) -> bool {
+        self.delete_with(id, mbr, &mut SplitScratch::default())
+    }
+
+    /// [`delete`](Self::delete) with caller-owned node-split buffers (the
+    /// condense step re-inserts orphaned entries, which may split nodes).
+    pub fn delete_with(
+        &mut self,
+        id: crate::ObjectId,
+        mbr: &Rect,
+        scratch: &mut SplitScratch,
+    ) -> bool {
         let Some(leaf) = self.find_leaf(id, mbr) else {
             return false;
         };
@@ -591,7 +627,7 @@ impl RTree {
             .retain_entries(|e| e.child != ChildRef::Object(id));
         self.mark_dirty(leaf);
         self.object_count -= 1;
-        self.condense(leaf);
+        self.condense(leaf, scratch);
         true
     }
 
@@ -622,7 +658,7 @@ impl RTree {
     /// Guttman's CondenseTree: walk up from a shrunken node, detach
     /// under-full nodes, re-insert their orphaned entries at their levels,
     /// and cut a single-child non-leaf root.
-    fn condense(&mut self, mut id: NodeId) {
+    fn condense(&mut self, mut id: NodeId, scratch: &mut SplitScratch) {
         let mut orphans: Vec<(Entry, u16)> = Vec::new();
         while let Some(parent) = self.node(id).parent {
             if self.node(id).len() < self.cfg.min_entries {
@@ -646,7 +682,7 @@ impl RTree {
         orphans.sort_by_key(|&(_, level)| level);
         let mut reinserted = vec![false; self.height as usize + 1];
         for (entry, level) in orphans {
-            self.insert_at_level(entry, level, &mut reinserted);
+            self.insert_at_level(entry, level, &mut reinserted, scratch);
         }
         // Shrink the root while it is a single-child internal node.
         while self.node(self.root).level > 0 && self.node(self.root).len() == 1 {

@@ -447,6 +447,9 @@ impl Cluster {
             }
         };
         for u in updates {
+            if !u.is_well_formed() {
+                continue; // non-finite MBR: malformed batch entry, skip
+            }
             match *u {
                 Update::Insert { mbr, size_bytes } => {
                     let id = next_store.push(mbr, size_bytes);
@@ -1671,6 +1674,31 @@ mod tests {
             window: Rect::centered_square(Point::new(0.8, 0.8), 0.05),
         });
         assert!(found.results.contains(&id));
+    }
+
+    #[test]
+    fn non_finite_inserts_and_moves_are_skipped() {
+        let cl = quad_cluster(sample_store(400, 7));
+        let bad = Rect::from_coords(0.2, f64::NAN, 0.3, f64::INFINITY);
+        let mut batch: Vec<Update> = (0..30)
+            .map(|_| Update::Insert {
+                mbr: bad,
+                size_bytes: 100,
+            })
+            .collect();
+        batch.extend((0..30).map(|i| Update::Move {
+            id: ObjectId(i),
+            to: bad,
+        }));
+        let before = cl.shard(0).core().pin().store().len();
+        let e = ServerHandle::apply_updates(&cl, &batch);
+        assert_eq!(e, 1, "the vacuous batch still advances the cluster epoch");
+        let pin = cl.shard(0).core().pin();
+        assert_eq!(pin.store().len(), before, "no non-finite insert was stored");
+        assert!((0..30).all(|i| pin.store().get(ObjectId(i)).mbr.is_finite()));
+        for s in 0..4 {
+            assert_eq!(cl.shard(s).core().epoch(), 0, "no shard was touched");
+        }
     }
 
     #[test]

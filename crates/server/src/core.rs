@@ -21,7 +21,7 @@ use pc_rtree::bpt::BptStore;
 use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::view::FullView;
-use pc_rtree::{ObjectStore, RTree, RTreeConfig};
+use pc_rtree::{ObjectStore, RTree, RTreeConfig, SplitScratch};
 use std::sync::{Arc, Mutex};
 
 /// One immutable epoch of the server's world: index + data + versioning,
@@ -71,8 +71,8 @@ impl Snapshot {
     }
 
     /// Rebuilds the BPT of one node after its entry set changed.
-    pub(crate) fn rebuild_bpt(&mut self, node: pc_rtree::NodeId) {
-        self.bpts.rebuild_node(&self.tree, node);
+    pub(crate) fn rebuild_bpt(&mut self, node: pc_rtree::NodeId, scratch: &mut SplitScratch) {
+        self.bpts.rebuild_node(&self.tree, node, scratch);
     }
 
     /// Evaluates a query directly (no caching) — ground truth for the
@@ -125,15 +125,18 @@ pub struct ServerCore {
     snap: SnapshotCell<Snapshot>,
     /// Serializes `apply_updates` callers: each builds its next snapshot
     /// from the one it read, so concurrent writers must not interleave
-    /// (last-publish-wins would silently drop a batch).
-    write: Mutex<()>,
+    /// (last-publish-wins would silently drop a batch). The lock owns the
+    /// split buffers every node split and BPT rebuild of a publish reuses;
+    /// they hold no state between calls, so a poisoned guard's scratch is
+    /// as good as a fresh one.
+    write: Mutex<SplitScratch>,
 }
 
 impl Clone for ServerCore {
     fn clone(&self) -> Self {
         ServerCore {
             snap: SnapshotCell::new(Snapshot::clone(&self.pin())),
-            write: Mutex::new(()),
+            write: Mutex::default(),
         }
     }
 }
@@ -164,7 +167,7 @@ impl ServerCore {
                 store,
                 updates: UpdateLog::default(),
             }),
-            write: Mutex::new(()),
+            write: Mutex::default(),
         }
     }
 
@@ -208,7 +211,8 @@ impl ServerCore {
     ///
     /// Updates naming ids the store never assigned are **ignored** (a
     /// malformed batch must not panic the writer mid-epoch), as are
-    /// deletes/moves of already-tombstoned objects.
+    /// inserts and moves to a non-finite MBR and deletes/moves of
+    /// already-tombstoned objects.
     ///
     /// This entry point never prunes update history; [`crate::Server`]'s
     /// wrapper passes the fleet low-water mark and history cap through
@@ -233,21 +237,25 @@ impl ServerCore {
         client_floor: Option<u64>,
         max_history: u64,
     ) -> u64 {
-        let _writer = lock_recover(&self.write);
+        let mut scratch = lock_recover(&self.write);
+        let scratch = &mut *scratch;
         let mut next = Snapshot::clone(&self.pin());
         let mut deleted: Vec<pc_rtree::ObjectId> = Vec::new();
         for u in updates {
+            if !u.is_well_formed() {
+                continue; // non-finite MBR: malformed batch entry, skip
+            }
             match *u {
                 Update::Insert { mbr, size_bytes } => {
                     let id = next.store_mut().push(mbr, size_bytes);
                     let obj = *next.store().get(id);
-                    next.tree_mut().insert(&obj);
+                    next.tree_mut().insert_with(&obj, scratch);
                 }
                 Update::Delete(id) => {
                     let Some(mbr) = next.store().try_get(id).map(|o| o.mbr) else {
                         continue; // unknown id: malformed batch entry, skip
                     };
-                    if next.tree_mut().delete(id, &mbr) {
+                    if next.tree_mut().delete_with(id, &mbr, scratch) {
                         next.store_mut().mark_dead(id);
                         deleted.push(id);
                     }
@@ -256,10 +264,10 @@ impl ServerCore {
                     let Some(from) = next.store().try_get(id).map(|o| o.mbr) else {
                         continue; // unknown id: malformed batch entry, skip
                     };
-                    if next.tree_mut().delete(id, &from) {
+                    if next.tree_mut().delete_with(id, &from, scratch) {
                         next.store_mut().set_mbr(id, to);
                         let obj = *next.store().get(id);
-                        next.tree_mut().insert(&obj);
+                        next.tree_mut().insert_with(&obj, scratch);
                     }
                 }
             }
@@ -270,7 +278,7 @@ impl ServerCore {
             next.update_log_mut().record_delete(id, epoch);
         }
         for n in dirty {
-            next.rebuild_bpt(n);
+            next.rebuild_bpt(n, scratch);
             next.update_log_mut().record_change(n, epoch);
         }
         let horizon = client_floor
@@ -301,23 +309,24 @@ impl ServerCore {
         client_floor: Option<u64>,
         max_history: u64,
     ) -> u64 {
-        let _writer = lock_recover(&self.write);
+        let mut scratch = lock_recover(&self.write);
+        let scratch = &mut *scratch;
         let mut next = Snapshot::clone(&self.pin());
         *next.store_mut() = store;
         for op in ops {
             match *op {
                 PartitionOp::Insert(id) => {
                     let obj = *next.store().get(id);
-                    next.tree_mut().insert(&obj);
+                    next.tree_mut().insert_with(&obj, scratch);
                 }
                 PartitionOp::Delete(id, ref from) => {
-                    let removed = next.tree_mut().delete(id, from);
+                    let removed = next.tree_mut().delete_with(id, from, scratch);
                     debug_assert!(removed, "partition delete must match the indexed entry");
                 }
                 PartitionOp::Relocate(id, ref from) => {
-                    if next.tree_mut().delete(id, from) {
+                    if next.tree_mut().delete_with(id, from, scratch) {
                         let obj = *next.store().get(id);
-                        next.tree_mut().insert(&obj);
+                        next.tree_mut().insert_with(&obj, scratch);
                     }
                 }
             }
@@ -328,7 +337,7 @@ impl ServerCore {
             next.update_log_mut().record_delete(id, epoch);
         }
         for n in dirty {
-            next.rebuild_bpt(n);
+            next.rebuild_bpt(n, scratch);
             next.update_log_mut().record_change(n, epoch);
         }
         let horizon = client_floor
@@ -544,6 +553,58 @@ mod tests {
             "the double delete must not duplicate the tombstone"
         );
         snap.tree().validate(99, false).unwrap();
+    }
+
+    #[test]
+    fn insert_with_a_nan_coordinate_is_skipped() {
+        let core = sample_core(2000, 9);
+        let nan = Rect::from_point(Point::new(f64::NAN, 0.5));
+        let batch: Vec<Update> = (0..40)
+            .map(|i| Update::Insert {
+                mbr: if i % 2 == 0 {
+                    nan
+                } else {
+                    Rect::from_point(Point::new(0.3, 0.01 * i as f64))
+                },
+                size_bytes: 100,
+            })
+            .collect();
+        assert_eq!(core.apply_updates(&batch), 1);
+        let snap = core.pin();
+        assert_eq!(
+            snap.store().len(),
+            2020,
+            "only the 20 finite inserts landed"
+        );
+        snap.tree().validate(2020, false).unwrap();
+    }
+
+    #[test]
+    fn move_to_an_infinite_coordinate_is_skipped() {
+        let core = sample_core(2000, 9);
+        let before = core.pin().store().get(ObjectId(0)).mbr;
+        let batch: Vec<Update> = (0..40)
+            .map(|i| Update::Move {
+                id: ObjectId(i),
+                to: Rect::from_coords(0.5, 0.5, f64::INFINITY, 0.6),
+            })
+            .chain([Update::Move {
+                id: ObjectId(1),
+                to: Rect::from_point(Point::new(0.25, 0.75)),
+            }])
+            .collect();
+        assert_eq!(core.apply_updates(&batch), 1);
+        let snap = core.pin();
+        assert_eq!(
+            snap.store().get(ObjectId(0)).mbr,
+            before,
+            "skipped move left it"
+        );
+        assert_eq!(
+            snap.store().get(ObjectId(1)).mbr,
+            Rect::from_point(Point::new(0.25, 0.75))
+        );
+        snap.tree().validate(2000, false).unwrap();
     }
 
     /// Live objects of a snapshot (tombstones excluded), in id order.

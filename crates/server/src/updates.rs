@@ -46,6 +46,19 @@ pub enum Update {
     Move { id: ObjectId, to: Rect },
 }
 
+impl Update {
+    /// Whether the update can be applied at all: inserts and moves must
+    /// carry a finite MBR. The R* heuristics order entries by coordinate
+    /// and compare areas, which a NaN or infinite corner makes meaningless,
+    /// so writers skip such entries the way they skip unknown ids.
+    pub fn is_well_formed(&self) -> bool {
+        match self {
+            Update::Insert { mbr, .. } | Update::Move { to: mbr, .. } => mbr.is_finite(),
+            Update::Delete(_) => true,
+        }
+    }
+}
+
 /// Update/invalidation state carried by each published snapshot.
 ///
 /// History is **bounded**: each epoch publish prunes change records at or

@@ -1,5 +1,8 @@
-//! Synthetic datasets substituting the paper's real ones (rtreeportal.org
-//! is long gone; see DESIGN.md §3 for the substitution argument):
+//! Synthetic datasets substituting the paper's real ones, which
+//! rtreeportal.org no longer serves. Each stand-in keeps the properties the
+//! experiments respond to — object shape (points vs. thin segments),
+//! clustering, and cardinality — so the models compare as they do on the
+//! originals, though absolute numbers differ:
 //!
 //! * [`ne_like`] ↔ **NE** (123,593 postal zones of New York, Philadelphia
 //!   and Boston): three metro-area gaussian mixtures with sub-clusters,
@@ -71,7 +74,7 @@ fn clamp01(v: f64) -> f64 {
 /// paper's 5e-5 distance join nearly result-free (a pure index/CPU
 /// stressor); a plain gaussian mixture would pile points arbitrarily close
 /// and turn every join into a megabyte-scale download, wrecking every
-/// byte-metric shape. See DESIGN.md §3.
+/// byte-metric shape.
 const NE_MIN_SPACING: f64 = 1.5e-4;
 
 /// A hash grid for min-distance (hard-core) thinning.
